@@ -1,7 +1,14 @@
-// Unit tests for src/common: ids, units, result, rng, logging.
+// Unit tests for src/common: ids, units, result, rng, logging, thread pool.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -12,6 +19,7 @@
 #include "common/log.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 
 namespace slices {
@@ -335,6 +343,87 @@ TEST_F(LoggerTest, ConcurrentLoggingNeverTearsLines) {
   // lines are the invariant, not the count.
   EXPECT_LE(count, static_cast<std::size_t>(kThreads * kLines));
   EXPECT_GT(count, 0u);
+}
+
+// --- ThreadPool --------------------------------------------------------------------
+
+/// One parallel_for's bookkeeping. Every job's record outlives the whole
+/// run, so a late call into a finished job is counted instead of
+/// touching freed memory.
+struct PoolJob {
+  explicit PoolJob(std::size_t n) : runs(n) {}
+
+  void record(std::size_t i) {
+    if (returned.load(std::memory_order_acquire)) late_calls.fetch_add(1);
+    if (i >= runs.size()) {
+      out_of_range.fetch_add(1);
+      return;
+    }
+    runs[i].fetch_add(1, std::memory_order_relaxed);
+  }
+
+  std::vector<std::atomic<int>> runs;
+  std::atomic<bool> returned{false};
+  std::atomic<int> late_calls{0};
+  std::atomic<int> out_of_range{0};
+};
+
+TEST(ThreadPoolTest, BackToBackJobsRunEveryIndexOnceAndNeverAfterReturn) {
+  // Two call sites with different sizes, alternating back to back. A
+  // worker that wakes after its job finished must not claim indices of
+  // the next job: with the small job's n it would skip the big job's
+  // indices (a hang), and with either job's fn it would call a function
+  // whose parallel_for has already returned (a late call, or a crash on
+  // the destroyed std::function temporary).
+  constexpr std::size_t kJobs = 20000;
+  constexpr std::size_t kSmall = 2;
+  constexpr std::size_t kLarge = 64;
+
+  // A lost index parks parallel_for forever; turn that into a failure.
+  std::mutex watchdog_mutex;
+  std::condition_variable watchdog_cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(watchdog_mutex);
+    if (!watchdog_cv.wait_for(lock, std::chrono::seconds(60), [&] { return finished; })) {
+      std::fprintf(stderr, "ThreadPoolTest: parallel_for did not return within 60 s\n");
+      std::abort();
+    }
+  });
+
+  std::vector<std::unique_ptr<PoolJob>> jobs;
+  jobs.reserve(kJobs);
+  {
+    ThreadPool pool(4);
+    for (std::size_t j = 0; j < kJobs; ++j) {
+      PoolJob* job = jobs.emplace_back(std::make_unique<PoolJob>(j % 2 == 0 ? kSmall : kLarge)).get();
+      if (j % 2 == 0) {
+        pool.parallel_for(kSmall, [job](std::size_t i) { job->record(i); });
+      } else {
+        pool.parallel_for(kLarge, [job](std::size_t i) { job->record(i); });
+      }
+      job->returned.store(true, std::memory_order_release);
+    }
+  }  // joins the workers: no call can still be in flight below
+
+  {
+    const std::lock_guard<std::mutex> lock(watchdog_mutex);
+    finished = true;
+  }
+  watchdog_cv.notify_all();
+  watchdog.join();
+
+  std::size_t wrong_counts = 0;
+  int late_calls = 0;
+  int out_of_range = 0;
+  for (const std::unique_ptr<PoolJob>& job : jobs) {
+    for (const std::atomic<int>& runs : job->runs) wrong_counts += runs.load() != 1 ? 1 : 0;
+    late_calls += job->late_calls.load();
+    out_of_range += job->out_of_range.load();
+  }
+  EXPECT_EQ(wrong_counts, 0u) << "indices not run exactly once";
+  EXPECT_EQ(late_calls, 0) << "fn called after its parallel_for returned";
+  EXPECT_EQ(out_of_range, 0) << "fn called with another job's index";
 }
 
 // --- Result -----------------------------------------------------------------------
