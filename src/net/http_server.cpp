@@ -84,9 +84,9 @@ Result<void> HttpServer::serve_one() {
     }
   }
   response.headers.insert_or_assign("Connection", "close");
+  served_.fetch_add(1, std::memory_order_release);
   (void)conn.send_all(response.encode());
   conn.shutdown_write();
-  ++served_;
   return {};
 }
 

@@ -49,7 +49,12 @@ class HttpServer {
     listener_.close();
   }
 
-  [[nodiscard]] std::uint64_t connections_served() const noexcept { return served_; }
+  /// Connections answered so far (thread-safe). A connection is counted
+  /// before its response is written, so a client that has read its
+  /// response already sees its connection in the count.
+  [[nodiscard]] std::uint64_t connections_served() const noexcept {
+    return served_.load(std::memory_order_acquire);
+  }
 
  private:
   HttpServer(std::shared_ptr<Router> router, TcpListener listener) noexcept
@@ -58,7 +63,7 @@ class HttpServer {
   std::shared_ptr<Router> router_;
   TcpListener listener_;
   std::atomic<bool> stopping_{false};
-  std::uint64_t served_ = 0;
+  std::atomic<std::uint64_t> served_{0};
 };
 
 /// Blocking HTTP client for tests/tools: one request over a fresh

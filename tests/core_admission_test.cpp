@@ -105,6 +105,11 @@ struct PolicyCase {
   std::unique_ptr<AdmissionPolicy> (*make)();
 };
 
+// Print the label, not the raw bytes: gtest's byte dump of the two
+// pointers differs from run to run, and the test list (hence every
+// registered ctest name) embeds it.
+void PrintTo(const PolicyCase& c, std::ostream* os) { *os << c.label; }
+
 class AllPolicies : public ::testing::TestWithParam<PolicyCase> {};
 
 TEST_P(AllPolicies, NeverExceedsCapacityAndNeverDuplicates) {

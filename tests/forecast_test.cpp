@@ -171,6 +171,11 @@ struct ModelCase {
   std::unique_ptr<Forecaster> (*make)();
 };
 
+// Print the label, not the raw bytes: gtest's byte dump of the two
+// pointers differs from run to run, and the test list (hence every
+// registered ctest name) embeds it.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.label; }
+
 class AllModels : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(AllModels, FiniteForecastsOnCanonicalSignals) {
